@@ -48,10 +48,13 @@ doclint:
 # Membership-quiescent state queries (Alive/Draining/State/Generation)
 # sit on the same hot path and are gated too, as are the round-lifecycle
 # fan-out with no logger/health tracker and the phase clock with the
-# stuck-round watchdog disabled.
+# stuck-round watchdog disabled. An incremental round must send exactly
+# its bitmaps, dirty slices and small components, and an unchanged one
+# must allocate the same however many windows its packets split into.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
 	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled' -count=1 ./internal/core
+	$(GO) test -run 'TestIncrementalExactTraffic|TestIncrementalZeroChangeAllocsFlat' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 
 # Randomized elastic-membership churn (preempt/drain/rejoin racing saves

@@ -239,6 +239,12 @@ type Checkpointer struct {
 	// SaveAsync drains.
 	version atomic.Int64
 
+	// incRound is the stamp of the latest incremental round attempt. It
+	// advances on every attempt, aborted ones included, and prefixes every
+	// incremental message so receivers can drop an earlier attempt's
+	// leftovers.
+	incRound atomic.Uint64
+
 	// Lifecycle state: exactly one save round (Save, SaveAsync or
 	// SaveIncremental) may be in flight at a time, and Close must be able
 	// to cancel whatever is running before the transport goes away.

@@ -51,6 +51,7 @@ func newRig(t *testing.T, nodes, gpus, k, m int, opts ...func(*Config)) *testRig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	net = transport.WithMetrics(net, cfg.Metrics) // unwrapped when nil
 	ckpt, err := New(cfg, net, clus, remote)
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"eccheck/internal/gf"
 	"eccheck/internal/statedict"
+	"eccheck/internal/transport"
 )
 
 // Incremental checkpointing exploits the linearity of the erasure code:
@@ -21,13 +25,38 @@ import (
 // update volume becomes proportional to the changed fraction — the idea
 // Check-N-Run applies to recommendation models, here generalised to coded
 // checkpoints.
+//
+// Wire format. Every (rank, destination) pair is one stream: a dirty
+// bitmap with one bit per buffer window, then one slice per set bit — Δ
+// to the data node, coefficient·Δ to each parity node. Small components
+// travel on their own incremental tags. Every message leads with the
+// round stamp (stampLen bytes), so a receiver drops what an aborted
+// earlier round left in its mailboxes instead of applying it.
 
 // keyOwnPacket caches a worker's latest packet on its own node.
 func keyOwnPacket(rank int) string { return fmt.Sprintf("own/%d", rank) }
 
-// Incremental update tags.
-func tagDeltaFlag(rank int, dst string) string  { return fmt.Sprintf("uf/%s/%d", dst, rank) }
-func tagDeltaSlice(rank int, dst string) string { return fmt.Sprintf("us/%s/%d", dst, rank) }
+// Incremental message tags, disjoint from the full save's.
+func tagIncMeta(rank int) string { return fmt.Sprintf("um/%d", rank) }
+func tagIncKeys(rank int) string { return fmt.Sprintf("uk/%d", rank) }
+
+// tagDelta names rank's delta stream to its data node (parity < 0) or to
+// the parity node of that index.
+func tagDelta(rank, parity int) string {
+	if parity < 0 {
+		return fmt.Sprintf("ud/d/%d", rank)
+	}
+	return fmt.Sprintf("ud/p%d/%d", parity, rank)
+}
+
+// stampLen is the size of the little-endian round stamp that prefixes
+// every incremental message. Eight bytes keep the payload behind it
+// word-aligned for the XOR kernels.
+const stampLen = 8
+
+// ErrStampAhead marks an incremental message stamped for a later round
+// than the receiver's: the peers disagree about which round is running.
+var ErrStampAhead = errors.New("core: incremental message stamped for a later round")
 
 // IncrementalReport summarises an incremental save.
 type IncrementalReport struct {
@@ -129,42 +158,63 @@ func (c *Checkpointer) saveIncrementalLocked(ctx context.Context, h *SaveHandle,
 	}
 
 	version := int(c.version.Load()) + 1
+	// The stamp names this attempt, not the version: an aborted round does
+	// not advance the version, so a retry at the same version must still
+	// tell its messages apart from the aborted round's leftovers.
+	stamp := c.incRound.Add(1)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	h.setCancel(cancel)
 
-	changed := make([]int, c.cfg.Topo.Nodes())
-	total := make([]int, c.cfg.Topo.Nodes())
-	errc := make(chan error, c.cfg.Topo.Nodes())
+	nodes := c.cfg.Topo.Nodes()
+	commits := make([]*pendingCommit, nodes)
+	errc := make(chan error, nodes)
 	var wg sync.WaitGroup
-	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
+	for node := 0; node < nodes; node++ {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			ch, tot, err := c.nodeIncrementalSave(ctx, node, version, packetBytes, dicts)
+			pc, err := c.nodeIncrementalSave(ctx, node, stamp, packetBytes, dicts)
 			if err != nil {
 				errc <- fmt.Errorf("core: node %d incremental save: %w", node, err)
 				cancel()
 				return
 			}
-			changed[node], total[node] = ch, tot
+			commits[node] = pc
 		}(node)
 	}
 	wg.Wait()
 	close(errc)
+	defer func() {
+		for _, pc := range commits {
+			pc.release(c)
+		}
+	}()
 	if err := <-errc; err != nil {
 		if ctx.Err() != nil && c.isClosed() {
 			err = fmt.Errorf("%w: %v", ErrSaveAborted, err)
 		}
 		return nil, err
 	}
-	c.version.Store(int64(version))
 
-	rep := &IncrementalReport{Version: version, Elapsed: time.Since(started)}
-	for node := range changed {
-		rep.ChangedBuffers += changed[node]
-		rep.TotalBuffers += total[node]
+	// Every node's exchange succeeded; only now does host memory change.
+	// Each node's manifest lands last, as in the full save's commit.
+	manifest := manifestBlob(version, packetBytes, c.cfg.BufferSize)
+	rep := &IncrementalReport{Version: version}
+	for node, pc := range commits {
+		for i, key := range pc.keys {
+			if err := c.store(node, key, pc.blobs[i]); err != nil {
+				return nil, fmt.Errorf("core: node %d commit v%d %q: %w", node, version, key, err)
+			}
+		}
+		if err := c.store(node, keyManifest(), manifest); err != nil {
+			return nil, fmt.Errorf("core: node %d commit v%d manifest: %w", node, version, err)
+		}
+		rep.ChangedBuffers += pc.changed
+		rep.TotalBuffers += pc.total
 	}
+	c.version.Store(int64(version))
+	rep.Elapsed = time.Since(started)
 	if reg := c.cfg.Metrics; reg != nil {
 		reg.Counter("save_incremental_rounds_total").Inc()
 		reg.Counter("incremental_changed_buffers_total").Add(int64(rep.ChangedBuffers))
@@ -174,126 +224,170 @@ func (c *Checkpointer) saveIncrementalLocked(ctx context.Context, h *SaveHandle,
 	return rep, nil
 }
 
-// nodeIncrementalSave runs one node's side: diff local packets, ship
-// changed slices (raw Δ to the data node, coefficient-multiplied Δ to
-// every parity node), apply incoming updates to the stored chunk, refresh
-// caches and the manifest.
-func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, packetBytes int, dicts []*statedict.StateDict) (changed, total int, err error) {
+// pendingCommit is one node's share of an incremental round, held in
+// memory until every node's exchange succeeded: the blobs to write in
+// order, and the pooled buffers to recycle once they are written.
+type pendingCommit struct {
+	keys   []string
+	blobs  [][]byte
+	pooled [][]byte
+	// changed and total count this node's dirty and diffed windows.
+	changed, total int
+}
+
+// add queues blob for key; pooled, when non-nil, is the buffer backing it.
+func (p *pendingCommit) add(key string, blob, pooled []byte) {
+	p.keys = append(p.keys, key)
+	p.blobs = append(p.blobs, blob)
+	if pooled != nil {
+		p.pooled = append(p.pooled, pooled)
+	}
+}
+
+// release recycles the pooled buffers; safe on nil.
+func (p *pendingCommit) release(c *Checkpointer) {
+	if p == nil {
+		return
+	}
+	for _, b := range p.pooled {
+		c.buf.Put(b)
+	}
+}
+
+// deltaStream is one inbound (rank, destination) stream of a node.
+type deltaStream struct {
+	srcNode int
+	tag     string
+	seg     int
+}
+
+// patchedSegment is one of a node's chunk segments, fetched on first
+// touch. The lock serialises the fetch and every XOR into the segment.
+type patchedSegment struct {
+	mu   sync.Mutex
+	blob []byte
+}
+
+// nodeIncrementalSave runs one node's side: diff local packets against
+// their caches in place, ship per-stream dirty bitmaps and the dirty
+// slices (raw Δ to the data node, coefficient·Δ to every parity node),
+// and apply inbound slices to the segments they hit. Nothing is written
+// to host memory: the returned commit holds the patched segments,
+// refreshed caches and small components for the coordinator to store
+// once every node succeeded.
+func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node int, stamp uint64, packetBytes int, dicts []*statedict.StateDict) (*pendingCommit, error) {
 	topo := c.cfg.Topo
-	plan := c.layout().plan
+	lay := c.layout()
+	plan := lay.plan
 	g := topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
 	numBuffers := (packetBytes + bufSize - 1) / bufSize
+	bitmapLen := stampLen + (numBuffers+7)/8
+	window := func(b int) (int, int) {
+		lo := b * bufSize
+		return lo, min(lo+bufSize, packetBytes)
+	}
 
 	ep, err := c.endpoint(node)
 	if err != nil {
-		return 0, 0, err
-	}
-	sliceBounds := func(b int) (int, int) {
-		lo := b * bufSize
-		hi := lo + bufSize
-		if hi > packetBytes {
-			hi = packetBytes
-		}
-		return lo, hi
+		return nil, err
 	}
 
-	// Applier goroutines: receive per-buffer flags and slices from the
-	// workers whose segments this node stores and XOR them in.
-	type incomingStream struct {
-		srcNode int
-		rank    int
-		dst     string // "d" for data updates, "p<i>" for parity index i
-		seg     int
-	}
-	var streams []incomingStream
-	myChunk := plan.ChunkOfNode[node]
-	if myChunk < c.cfg.K {
-		for w := 0; w < topo.World(); w++ {
-			if plan.DataGroupOf[w] != myChunk {
-				continue
-			}
-			srcNode, err := topo.NodeOf(w)
-			if err != nil {
-				return 0, 0, err
-			}
-			if srcNode == node {
-				continue
-			}
-			streams = append(streams, incomingStream{srcNode: srcNode, rank: w, dst: "d", seg: plan.SegmentOf[w]})
-		}
-	} else {
-		pi := myChunk - c.cfg.K
-		for w := 0; w < topo.World(); w++ {
-			srcNode, err := topo.NodeOf(w)
-			if err != nil {
-				return 0, 0, err
-			}
-			if srcNode == node {
-				continue
-			}
-			streams = append(streams, incomingStream{srcNode: srcNode, rank: w, dst: fmt.Sprintf("p%d", pi), seg: plan.SegmentOf[w]})
-		}
-	}
-
-	// Load this node's chunk segments for in-place update.
-	span := topo.World() / c.cfg.K
-	chunkSegs := make([][]byte, span)
-	for s := 0; s < span; s++ {
-		blob, err := c.fetch(node, keySegment(myChunk, s))
-		if err != nil {
-			return 0, 0, err
-		}
-		chunkSegs[s] = blob
-	}
-
+	// A failure anywhere cancels this node's own goroutines at once; the
+	// first error wins, so a receiver's real cause is not masked by the
+	// cancellation it triggers in the sender loop.
+	ctx, cancel := context.WithCancel(ctx)
 	var (
-		applyMu  sync.Mutex
-		applyErr error
 		applyWG  sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
 	)
-	fail := func(err error) {
-		applyMu.Lock()
-		if applyErr == nil {
-			applyErr = err
+	fail := func(err error) error {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
 		}
-		applyMu.Unlock()
+		err = firstErr
+		errMu.Unlock()
+		cancel()
+		return err
+	}
+	pc := &pendingCommit{}
+	ok := false
+	defer func() {
+		cancel()
+		applyWG.Wait()
+		if !ok {
+			pc.release(c)
+		}
+	}()
+
+	myChunk := plan.ChunkOfNode[node]
+	segs := make([]patchedSegment, topo.World()/c.cfg.K)
+	patch := func(s, lo int, delta []byte) error {
+		seg := &segs[s]
+		seg.mu.Lock()
+		defer seg.mu.Unlock()
+		if seg.blob == nil {
+			blob, err := c.fetch(node, lay.keys.segment[myChunk][s])
+			if err != nil {
+				return err
+			}
+			if len(blob) != packetBytes {
+				return fmt.Errorf("chunk %d segment %d has %d bytes, want %d", myChunk, s, len(blob), packetBytes)
+			}
+			seg.blob = blob
+		}
+		return gf.XORSlice(seg.blob[lo:lo+len(delta)], delta)
+	}
+
+	// Receivers: one goroutine per inbound stream. A data node hears from
+	// the remote workers of its own group, a parity node from every
+	// remote worker.
+	var streams []deltaStream
+	for w := 0; w < topo.World(); w++ {
+		srcNode, err := topo.NodeOf(w)
+		if err != nil {
+			return nil, err
+		}
+		if srcNode == node {
+			continue
+		}
+		if myChunk < c.cfg.K {
+			if plan.DataGroupOf[w] == myChunk {
+				streams = append(streams, deltaStream{srcNode: srcNode, tag: tagDelta(w, -1), seg: plan.SegmentOf[w]})
+			}
+			continue
+		}
+		streams = append(streams, deltaStream{srcNode: srcNode, tag: tagDelta(w, myChunk-c.cfg.K), seg: plan.SegmentOf[w]})
 	}
 	for _, st := range streams {
 		applyWG.Add(1)
-		go func(st incomingStream) {
+		go func(st deltaStream) {
 			defer applyWG.Done()
+			bm, err := c.recvStamped(ctx, ep, st.srcNode, st.tag, stamp, bitmapLen)
+			if err != nil {
+				fail(err)
+				return
+			}
+			defer c.buf.Put(bm)
+			bits := bm[stampLen:]
+			if err := checkBitmap(bits, numBuffers); err != nil {
+				fail(fmt.Errorf("stream %q: %w", st.tag, err))
+				return
+			}
 			for b := 0; b < numBuffers; b++ {
-				flag, err := ep.Recv(ctx, st.srcNode, tagDeltaFlag(st.rank, st.dst))
-				if err != nil {
-					fail(err)
-					return
-				}
-				if len(flag) != 1 {
-					fail(fmt.Errorf("bad delta flag length %d", len(flag)))
-					return
-				}
-				if flag[0] == 0 {
+				if bits[b>>3]&(1<<(b&7)) == 0 {
 					continue
 				}
-				slice, err := ep.Recv(ctx, st.srcNode, tagDeltaSlice(st.rank, st.dst))
+				lo, hi := window(b)
+				msg, err := c.recvStamped(ctx, ep, st.srcNode, st.tag, stamp, stampLen+hi-lo)
 				if err != nil {
 					fail(err)
 					return
 				}
-				lo, hi := sliceBounds(b)
-				if len(slice) != hi-lo {
-					fail(fmt.Errorf("delta slice length %d, want %d", len(slice), hi-lo))
-					return
-				}
-				// Segments are updated concurrently but each (seg, slice)
-				// region is written by exactly one stream per parity/data
-				// relationship... parity nodes receive one stream per
-				// worker and all XOR into the same segment slice, so
-				// serialise with the mutex.
-				applyMu.Lock()
-				err = gf.XORSlice(chunkSegs[st.seg][lo:hi], slice)
-				applyMu.Unlock()
+				err = patch(st.seg, lo, msg[stampLen:])
+				c.buf.Put(msg)
 				if err != nil {
 					fail(err)
 					return
@@ -302,175 +396,316 @@ func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, p
 		}(st)
 	}
 
-	// Sender/diff loop over local workers.
-	localChanged, localTotal := 0, 0
-	for w := node * g; w < (node+1)*g; w++ {
-		dec, err := dicts[w].Decompose()
+	// Decompose the local workers (tensor slices alias the dicts; nothing
+	// is copied) and broadcast their small components.
+	decs := make([]*statedict.Decomposition, g)
+	for i := range decs {
+		w := node*g + i
+		dec, err := dicts[w].DecomposeWith(c.buf)
 		if err != nil {
-			return 0, 0, fmt.Errorf("rank %d decompose: %w", w, err)
+			return nil, fail(fmt.Errorf("rank %d decompose: %w", w, err))
 		}
-		newPacket, err := buildPacket(dec, packetBytes)
-		if err != nil {
-			return 0, 0, err
+		decs[i] = dec
+		pc.add(lay.keys.smallMeta[w], dec.MetaBlob, dec.MetaBlob)
+		pc.add(lay.keys.smallKeys[w], dec.KeysBlob, dec.KeysBlob)
+		if err := c.broadcastStamped(ctx, ep, node, tagIncMeta(w), stamp, dec.MetaBlob); err != nil {
+			return nil, fail(err)
 		}
-		oldPacket, err := c.fetch(node, keyOwnPacket(w))
-		if err != nil {
-			return 0, 0, err
+		if err := c.broadcastStamped(ctx, ep, node, tagIncKeys(w), stamp, dec.KeysBlob); err != nil {
+			return nil, fail(err)
 		}
-		if len(oldPacket) != packetBytes {
-			return 0, 0, fmt.Errorf("rank %d cache has %d bytes, want %d", w, len(oldPacket), packetBytes)
-		}
+	}
 
+	// Per-window scratch, stamped once: the payload behind the stamp is
+	// rewritten for every dirty window and Send copies it out.
+	bitmap := c.stamped(bitmapLen, stamp)
+	delta := c.stamped(stampLen+min(bufSize, packetBytes), stamp)
+	coded := c.stamped(stampLen+min(bufSize, packetBytes), stamp)
+	defer func() {
+		c.buf.Put(bitmap)
+		c.buf.Put(delta)
+		c.buf.Put(coded)
+	}()
+	parityTags := make([]string, len(plan.ParityNodes))
+	coefs := make([]int, len(plan.ParityNodes))
+
+	for i, dec := range decs {
+		w := node*g + i
 		j := plan.DataGroupOf[w]
 		seg := plan.SegmentOf[w]
 		dataNode := plan.DataNodes[j]
+		cache, err := c.fetch(node, lay.keys.ownPacket[w])
+		if err != nil {
+			return nil, fail(err)
+		}
+		if len(cache) != packetBytes {
+			return nil, fail(fmt.Errorf("rank %d cache has %d bytes, want %d", w, len(cache), packetBytes))
+		}
 
+		// Diff: one read-only comparison per window against the tensor
+		// slices that cover it.
+		bits := bitmap[stampLen:]
+		clear(bits)
+		dirty := 0
+		cur := packetCursor{parts: dec.TensorData}
 		for b := 0; b < numBuffers; b++ {
-			lo, hi := sliceBounds(b)
-			localTotal++
-			delta := make([]byte, hi-lo)
-			copy(delta, newPacket[lo:hi])
-			if err := gf.XORSlice(delta, oldPacket[lo:hi]); err != nil {
-				return 0, 0, err
+			lo, hi := window(b)
+			if !cur.equal(cache[lo:hi]) {
+				bits[b>>3] |= 1 << (b & 7)
+				dirty++
 			}
-			if allZero(delta) {
-				// Unchanged slice: flag 0 to every destination.
-				if dataNode != node {
-					if err := ep.Send(ctx, dataNode, tagDeltaFlag(w, "d"), []byte{0}); err != nil {
-						return 0, 0, err
-					}
+		}
+		pc.changed += dirty
+		pc.total += numBuffers
+
+		dataTag := tagDelta(w, -1)
+		for pi, pNode := range plan.ParityNodes {
+			if coefs[pi], err = c.code.ParityCoefficient(pi, j); err != nil {
+				return nil, fail(err)
+			}
+			parityTags[pi] = tagDelta(w, pi)
+			if pNode != node {
+				if err := ep.Send(ctx, pNode, parityTags[pi], bitmap); err != nil {
+					return nil, fail(err)
 				}
-				for pi, pNode := range plan.ParityNodes {
-					if pNode == node {
-						continue
-					}
-					if err := ep.Send(ctx, pNode, tagDeltaFlag(w, fmt.Sprintf("p%d", pi)), []byte{0}); err != nil {
-						return 0, 0, err
-					}
-				}
+			}
+		}
+		if dataNode != node {
+			if err := ep.Send(ctx, dataNode, dataTag, bitmap); err != nil {
+				return nil, fail(err)
+			}
+		}
+		if dirty == 0 {
+			continue
+		}
+
+		// Dirty windows only: gather the new bytes, form Δ against the
+		// cache, and patch the cache into the new packet.
+		cur = packetCursor{parts: dec.TensorData}
+		for b := 0; b < numBuffers; b++ {
+			if bits[b>>3]&(1<<(b&7)) == 0 {
 				continue
 			}
-			localChanged++
-
-			// Data-chunk update: raw delta.
-			if dataNode == node {
-				applyMu.Lock()
-				err := gf.XORSlice(chunkSegs[seg][lo:hi], delta)
-				applyMu.Unlock()
-				if err != nil {
-					return 0, 0, err
-				}
-			} else {
-				if err := ep.Send(ctx, dataNode, tagDeltaFlag(w, "d"), []byte{1}); err != nil {
-					return 0, 0, err
-				}
-				if err := ep.Send(ctx, dataNode, tagDeltaSlice(w, "d"), delta); err != nil {
-					return 0, 0, err
-				}
+			lo, hi := window(b)
+			msg := delta[:stampLen+hi-lo]
+			d := msg[stampLen:]
+			cur.seek(lo)
+			cur.read(d)
+			if err := gf.XORSlice(d, cache[lo:hi]); err != nil {
+				return nil, fail(err)
 			}
-			// Parity updates: coefficient-multiplied delta per parity node.
+			if err := gf.XORSlice(cache[lo:hi], d); err != nil {
+				return nil, fail(err)
+			}
+			if dataNode == node {
+				err = patch(seg, lo, d)
+			} else {
+				err = ep.Send(ctx, dataNode, dataTag, msg)
+			}
+			if err != nil {
+				return nil, fail(err)
+			}
 			for pi, pNode := range plan.ParityNodes {
-				coef, err := c.code.ParityCoefficient(pi, j)
-				if err != nil {
-					return 0, 0, err
-				}
-				contribution := make([]byte, len(delta))
-				if err := c.scalarMulPooled(coef, contribution, delta); err != nil {
-					return 0, 0, err
+				cmsg := coded[:len(msg)]
+				if err := c.scalarMulPooled(coefs[pi], cmsg[stampLen:], d); err != nil {
+					return nil, fail(err)
 				}
 				if pNode == node {
-					applyMu.Lock()
-					err := gf.XORSlice(chunkSegs[seg][lo:hi], contribution)
-					applyMu.Unlock()
-					if err != nil {
-						return 0, 0, err
-					}
-					continue
+					err = patch(seg, lo, cmsg[stampLen:])
+				} else {
+					err = ep.Send(ctx, pNode, parityTags[pi], cmsg)
 				}
-				dst := fmt.Sprintf("p%d", pi)
-				if err := ep.Send(ctx, pNode, tagDeltaFlag(w, dst), []byte{1}); err != nil {
-					return 0, 0, err
-				}
-				if err := ep.Send(ctx, pNode, tagDeltaSlice(w, dst), contribution); err != nil {
-					return 0, 0, err
+				if err != nil {
+					return nil, fail(err)
 				}
 			}
 		}
-
-		// Refresh the cache and the broadcast small components (metadata
-		// such as the iteration counter changes every step).
-		if err := c.store(node, keyOwnPacket(w), newPacket); err != nil {
-			return 0, 0, err
-		}
-		for peer := 0; peer < topo.Nodes(); peer++ {
-			if peer == node {
-				continue
-			}
-			if err := ep.Send(ctx, peer, tagSmallMeta(w), dec.MetaBlob); err != nil {
-				return 0, 0, err
-			}
-			if err := ep.Send(ctx, peer, tagSmallKeys(w), dec.KeysBlob); err != nil {
-				return 0, 0, err
-			}
-		}
-		if err := c.store(node, keySmallMeta(w), dec.MetaBlob); err != nil {
-			return 0, 0, err
-		}
-		if err := c.store(node, keySmallKeys(w), dec.KeysBlob); err != nil {
-			return 0, 0, err
-		}
+		pc.add(lay.keys.ownPacket[w], cache, nil)
 	}
-	// Receive remote small components.
+
+	// Small components of every remote rank.
+	recvSmall := func(srcNode int, tag, key string) error {
+		msg, err := c.recvStamped(ctx, ep, srcNode, tag, stamp, -1)
+		if err != nil {
+			return err
+		}
+		pc.add(key, msg[stampLen:], msg)
+		return nil
+	}
 	for rank := 0; rank < topo.World(); rank++ {
 		srcNode, err := topo.NodeOf(rank)
 		if err != nil {
-			return 0, 0, err
+			return nil, fail(err)
 		}
 		if srcNode == node {
 			continue
 		}
-		meta, err := ep.Recv(ctx, srcNode, tagSmallMeta(rank))
-		if err != nil {
-			return 0, 0, err
+		if err := recvSmall(srcNode, tagIncMeta(rank), lay.keys.smallMeta[rank]); err != nil {
+			return nil, fail(err)
 		}
-		keys, err := ep.Recv(ctx, srcNode, tagSmallKeys(rank))
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := c.store(node, keySmallMeta(rank), meta); err != nil {
-			return 0, 0, err
-		}
-		if err := c.store(node, keySmallKeys(rank), keys); err != nil {
-			return 0, 0, err
+		if err := recvSmall(srcNode, tagIncKeys(rank), lay.keys.smallKeys[rank]); err != nil {
+			return nil, fail(err)
 		}
 	}
 
+	// The receivers are done once every inbound stream is exhausted; Wait
+	// also orders their firstErr write before this read.
 	applyWG.Wait()
-	applyMu.Lock()
-	err = applyErr
-	applyMu.Unlock()
-	if err != nil {
-		return 0, 0, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
-
-	// Persist the updated chunk and bump the manifest.
-	for s := 0; s < span; s++ {
-		if err := c.store(node, keySegment(myChunk, s), chunkSegs[s]); err != nil {
-			return 0, 0, err
+	for s := range segs {
+		if segs[s].blob != nil {
+			pc.add(lay.keys.segment[myChunk][s], segs[s].blob, nil)
 		}
 	}
-	if err := c.store(node, keyManifest(), manifestBlob(version, packetBytes, bufSize)); err != nil {
-		return 0, 0, err
-	}
-	return localChanged, localTotal, nil
+	ok = true
+	return pc, nil
 }
 
-// allZero reports whether every byte is zero.
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
+// stamped returns a pooled buffer of n bytes whose first stampLen bytes
+// carry the round stamp.
+func (c *Checkpointer) stamped(n int, stamp uint64) []byte {
+	b := c.buf.Get(n)
+	binary.LittleEndian.PutUint64(b, stamp)
+	return b
+}
+
+// broadcastStamped sends stamp+blob under tag to every other node.
+func (c *Checkpointer) broadcastStamped(ctx context.Context, ep transport.Endpoint, node int, tag string, stamp uint64, blob []byte) error {
+	msg := c.stamped(stampLen+len(blob), stamp)
+	defer c.buf.Put(msg)
+	copy(msg[stampLen:], blob)
+	for peer := 0; peer < c.cfg.Topo.Nodes(); peer++ {
+		if peer == node {
+			continue
+		}
+		if err := ep.Send(ctx, peer, tag, msg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recvStamped receives the next message of round stamp on an incremental
+// stream. Leftovers of earlier rounds are dropped and counted in
+// transport_stale_dropped_total; a later round's message fails with
+// ErrStampAhead. want, when non-negative, is the exact length the
+// message must have, stamp included.
+func (c *Checkpointer) recvStamped(ctx context.Context, ep transport.Endpoint, from int, tag string, stamp uint64, want int) ([]byte, error) {
+	for {
+		msg, err := ep.Recv(ctx, from, tag)
+		if err != nil {
+			return nil, err
+		}
+		if len(msg) < stampLen {
+			c.buf.Put(msg)
+			return nil, fmt.Errorf("core: %q from node %d: %d-byte message has no round stamp", tag, from, len(msg))
+		}
+		got := binary.LittleEndian.Uint64(msg)
+		switch {
+		case got < stamp:
+			c.buf.Put(msg)
+			if reg := c.cfg.Metrics; reg != nil {
+				reg.Counter("transport_stale_dropped_total").Inc()
+			}
+			continue
+		case got > stamp:
+			c.buf.Put(msg)
+			return nil, fmt.Errorf("%w: %q from node %d has stamp %d, round is %d", ErrStampAhead, tag, from, got, stamp)
+		case want >= 0 && len(msg) != want:
+			c.buf.Put(msg)
+			return nil, fmt.Errorf("core: %q from node %d: message of %d bytes, want %d", tag, from, len(msg), want)
+		}
+		return msg, nil
+	}
+}
+
+// checkBitmap rejects a dirty bitmap with bits set past the last window.
+func checkBitmap(bits []byte, numBuffers int) error {
+	if numBuffers%8 != 0 && bits[len(bits)-1]>>(numBuffers%8) != 0 {
+		return fmt.Errorf("dirty bitmap marks windows past the last of %d", numBuffers)
+	}
+	return nil
+}
+
+// packetCursor walks a worker's packet in place — its tensor slices
+// back to back, zero-padded to the packet size — without materialising
+// it. It only moves forward.
+type packetCursor struct {
+	parts [][]byte
+	part  int // index of the current tensor slice
+	off   int // offset into it
+	pos   int // packet offset
+}
+
+// next returns the longest run of tensor bytes at the cursor, at most n
+// long, and advances past it. An empty run means the cursor is in the
+// zero padding after the last tensor.
+func (p *packetCursor) next(n int) []byte {
+	for p.part < len(p.parts) && p.off == len(p.parts[p.part]) {
+		p.part, p.off = p.part+1, 0
+	}
+	if p.part == len(p.parts) {
+		return nil
+	}
+	run := p.parts[p.part][p.off:]
+	run = run[:min(len(run), n)]
+	p.off += len(run)
+	p.pos += len(run)
+	return run
+}
+
+// seek advances the cursor to packet offset pos.
+func (p *packetCursor) seek(pos int) {
+	for p.pos < pos {
+		if run := p.next(pos - p.pos); len(run) == 0 {
+			p.pos = pos
+		}
+	}
+}
+
+// equal reports whether the packet bytes at the cursor equal old, and
+// advances past them.
+func (p *packetCursor) equal(old []byte) bool {
+	eq := true
+	for len(old) > 0 {
+		run := p.next(len(old))
+		if len(run) == 0 {
+			p.pos += len(old)
+			return eq && isZero(old)
+		}
+		eq = eq && bytes.Equal(run, old[:len(run)])
+		old = old[len(run):]
+	}
+	return eq
+}
+
+// read copies the packet bytes at the cursor into dst and advances past
+// them.
+func (p *packetCursor) read(dst []byte) {
+	for len(dst) > 0 {
+		run := p.next(len(dst))
+		if len(run) == 0 {
+			p.pos += len(dst)
+			clear(dst)
+			return
+		}
+		dst = dst[copy(dst, run):]
+	}
+}
+
+// zeroPage is the comparand for the zero padding after a packet's tensors.
+var zeroPage [4096]byte
+
+// isZero reports whether b is all zeros.
+func isZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }

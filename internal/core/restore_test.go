@@ -46,6 +46,7 @@ func newWrappedRig(t *testing.T, nodes, gpus, k, m int, wrap func(HostStore) Hos
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	net = transport.WithMetrics(net, cfg.Metrics) // unwrapped when nil
 	ckpt, err := New(cfg, net, wrap(clus), remote)
 	if err != nil {
 		t.Fatal(err)

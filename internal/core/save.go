@@ -108,25 +108,11 @@ func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*sta
 	return snap, nil
 }
 
-// buildPacket packs a worker's decomposed tensor data into one contiguous,
-// zero-padded packet of the agreed size.
-func buildPacket(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
-	if dec.TensorBytes() > packetBytes {
-		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",
-			dec.TensorBytes(), packetBytes)
-	}
-	packet := make([]byte, packetBytes)
-	off := 0
-	for _, buf := range dec.TensorData {
-		off += copy(packet[off:], buf)
-	}
-	return packet, nil
-}
-
-// buildPacketPooled is buildPacket drawing the packet from the buffer pool.
-// The alignment padding is explicitly zeroed because recycled buffers carry
-// stale bytes. The caller owns the packet and must Put it when the round no
-// longer references it.
+// buildPacketPooled packs a worker's decomposed tensor data into one
+// contiguous, zero-padded packet of the agreed size, drawn from the buffer
+// pool. The alignment padding is explicitly zeroed because recycled buffers
+// carry stale bytes. The caller owns the packet and must Put it when the
+// round no longer references it.
 func (c *Checkpointer) buildPacketPooled(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
 	if dec.TensorBytes() > packetBytes {
 		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",

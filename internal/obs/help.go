@@ -38,8 +38,8 @@ var metricHelp = map[string]string{
 	"hostmem_loads_total":       "Blobs read from node host memory.",
 	"hostmem_load_bytes_total":  "Bytes read from node host memory.",
 
-	"incremental_changed_buffers_total": "Buffers re-encoded because their content hash changed.",
-	"incremental_total_buffers_total":   "Buffers examined by the incremental-save hash check.",
+	"incremental_changed_buffers_total": "Buffer windows shipped as deltas because their bytes changed.",
+	"incremental_total_buffers_total":   "Buffer windows diffed against the cached packets.",
 
 	"load_rounds_total":          "Completed checkpoint load rounds.",
 	"load_rebuilt_chunks_total":  "Chunks reconstructed from erasure-coded parity during load.",
@@ -77,8 +77,8 @@ var metricHelp = map[string]string{
 	"save_stall_ns":                 "Training time blocked by a save round, in nanoseconds.",
 	"save_overlap_ns":               "Save work overlapped with training, in nanoseconds.",
 	"save_phase_ns":                 "Per-phase save/load time in nanoseconds.",
-	"save_incremental_rounds_total": "Save rounds that used the incremental hash cache.",
-	"save_incremental_ns":           "Incremental hash-check time in nanoseconds.",
+	"save_incremental_rounds_total": "Save rounds committed as incremental delta updates.",
+	"save_incremental_ns":           "Incremental save round wall time in nanoseconds.",
 
 	"span_ns": "Generic operation span duration in nanoseconds.",
 
@@ -91,6 +91,7 @@ var metricHelp = map[string]string{
 	"transport_dials_total":         "TCP transport dial attempts.",
 	"transport_dial_retries_total":  "TCP transport dial retries after a refused connection.",
 	"transport_dial_failures_total": "TCP transport dials that exhausted their retry budget.",
+	"transport_stale_dropped_total": "Messages dropped because an earlier, aborted round sent them.",
 
 	"verify_runs_total":             "Integrity-scan sweeps over the cluster.",
 	"verify_segments_total":         "Segments checked by the integrity scan.",
